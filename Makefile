@@ -11,6 +11,7 @@ FUZZ_TARGETS := \
 	./internal/ooc/:FuzzTileKey \
 	./internal/ooc/:FuzzWALRecord \
 	./internal/ooc/:FuzzTileCodec \
+	./internal/ooc/:FuzzCodecDifferential \
 	./internal/server/:FuzzScanCursor \
 	./internal/server/:FuzzBatchRequest \
 	./internal/server/:FuzzTenantHeader

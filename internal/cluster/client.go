@@ -9,6 +9,7 @@ import (
 	"io"
 	"math"
 	"net/http"
+	"net/url"
 	"strconv"
 	"strings"
 	"time"
@@ -31,9 +32,10 @@ var ErrUnavailable = errors.New("node unavailable")
 type NodeClient struct {
 	ID      string
 	BaseURL string
-	// HTTP is the transport (default http.DefaultClient with a 10s
-	// timeout). The local harness injects one whose transport can
-	// simulate a network partition.
+	// HTTP is the client requests go through (default: a client of its
+	// own on http.DefaultTransport with a 10s timeout). The local
+	// harness injects one whose transport can simulate a network
+	// partition.
 	HTTP *http.Client
 	// Tenant, when set, rides every data-plane request as the X-Tenant
 	// header, so node-side admission schedules the fan-out under the
@@ -90,7 +92,8 @@ func (c *NodeClient) statusError(resp *http.Response) error {
 	return fmt.Errorf("node %s: %s: %s", c.ID, resp.Status, msg)
 }
 
-// tileURL renders the tile endpoint for (name, box).
+// tileURL renders the tile endpoint for (name, box). The name is
+// path-escaped: occd accepts names holding '?', '#' or '%'.
 func (c *NodeClient) tileURL(name string, box layout.Box) string {
 	var lo, hi strings.Builder
 	for d := range box.Lo {
@@ -101,7 +104,7 @@ func (c *NodeClient) tileURL(name string, box layout.Box) string {
 		lo.WriteString(strconv.FormatInt(box.Lo[d], 10))
 		hi.WriteString(strconv.FormatInt(box.Hi[d], 10))
 	}
-	return fmt.Sprintf("%s/v1/arrays/%s/tile?lo=%s&hi=%s", c.BaseURL, name, lo.String(), hi.String())
+	return fmt.Sprintf("%s/v1/arrays/%s/tile?lo=%s&hi=%s", c.BaseURL, url.PathEscape(name), lo.String(), hi.String())
 }
 
 // Healthz reports whether the node answers its liveness probe.
@@ -185,15 +188,26 @@ func (c *NodeClient) GetTile(name string, box layout.Box, wire bool) ([]float64,
 // the node skipped the write because it already holds storedGen > gen
 // (the router raises its counter and retries with a fresh generation).
 func (c *NodeClient) PutTile(name string, box layout.Box, data []float64, gen uint64, wire bool) (storedGen uint64, stale bool, err error) {
-	var body []byte
+	return c.putTileBody(name, box, tileBody(data, wire), gen, wire)
+}
+
+// tileBody encodes a tile PUT body: the x-ooc-gorilla frame when wire,
+// else raw little-endian words. The body is only read, so one encoding
+// can go to every replica.
+func tileBody(data []float64, wire bool) []byte {
 	if wire {
-		body = ooc.AppendFrame(nil, data)
-	} else {
-		body = make([]byte, len(data)*ooc.ElemSize)
-		for i, v := range data {
-			binary.LittleEndian.PutUint64(body[i*ooc.ElemSize:], math.Float64bits(v))
-		}
+		return ooc.AppendFrame(nil, data)
 	}
+	body := make([]byte, len(data)*ooc.ElemSize)
+	for i, v := range data {
+		binary.LittleEndian.PutUint64(body[i*ooc.ElemSize:], math.Float64bits(v))
+	}
+	return body
+}
+
+// putTileBody is PutTile for a body tileBody already encoded with the
+// same wire setting.
+func (c *NodeClient) putTileBody(name string, box layout.Box, body []byte, gen uint64, wire bool) (storedGen uint64, stale bool, err error) {
 	req, err := http.NewRequest(http.MethodPut, c.tileURL(name, box), bytes.NewReader(body))
 	if err != nil {
 		return 0, false, err
@@ -222,7 +236,7 @@ func (c *NodeClient) PutTile(name string, box layout.Box, data []float64, gen ui
 // so NaN/Inf results survive the JSON hop — plus the element count.
 func (c *NodeClient) Reduce(name string, box layout.Box, op string) (float64, int64, error) {
 	reqBody, _ := json.Marshal(map[string]any{"op": op, "lo": box.Lo, "hi": box.Hi})
-	req, err := http.NewRequest(http.MethodPost, c.BaseURL+"/v1/arrays/"+name+"/reduce", bytes.NewReader(reqBody))
+	req, err := http.NewRequest(http.MethodPost, c.BaseURL+"/v1/arrays/"+url.PathEscape(name)+"/reduce", bytes.NewReader(reqBody))
 	if err != nil {
 		return 0, 0, err
 	}

@@ -806,12 +806,17 @@ func (r *Router) pieceGet(tenant, name string, piece layout.Box) ([]float64, uin
 	// Read-repair: rewrite every reachable replica that answered with
 	// an older generation, under the winner's generation, so the next
 	// read agrees. Synchronous — the repair is part of this read's
-	// consistency story, and deterministic tests can observe it.
+	// consistency story, and deterministic tests can observe it. The
+	// winner's body is encoded once, on the first repair.
+	var body []byte
 	for i := range replies {
 		if i == win || replies[i].err != nil || replies[i].gen >= replies[win].gen {
 			continue
 		}
-		if _, _, err := reps[i].client.PutTile(name, piece, replies[win].data, replies[win].gen, !r.opts.NoWire); err != nil {
+		if body == nil {
+			body = tileBody(replies[win].data, !r.opts.NoWire)
+		}
+		if _, _, err := reps[i].client.putTileBody(name, piece, body, replies[win].gen, !r.opts.NoWire); err != nil {
 			if errors.Is(err, ErrUnavailable) {
 				r.markDown(reps[i])
 			}
@@ -831,6 +836,8 @@ func (r *Router) pieceGet(tenant, name string, piece layout.Box) ([]float64, uin
 func (r *Router) piecePut(tenant, name string, piece layout.Box, data []float64) (uint64, bool) {
 	key := tileKeyOf(name, routingTile(piece, r.opts.TileDim))
 	reps := r.replicasFor(keyhash.Bytes([]byte(key)))
+	// One encoding serves every replica and both attempts.
+	body := tileBody(data, !r.opts.NoWire)
 
 	// Up to one retry round: a node reporting a newer stored generation
 	// (a router restart zeroed the counter) raises it, and the write
@@ -856,7 +863,7 @@ func (r *Router) piecePut(tenant, name string, piece layout.Box, data []float64)
 			wg.Add(1)
 			go func(i int, m *member) {
 				defer wg.Done()
-				stored, stale, err := m.client.ForTenant(tenant).PutTile(name, piece, data, gen, !r.opts.NoWire)
+				stored, stale, err := m.client.ForTenant(tenant).putTileBody(name, piece, body, gen, !r.opts.NoWire)
 				if err != nil {
 					if errors.Is(err, ErrUnavailable) {
 						r.markDown(m)

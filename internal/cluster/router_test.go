@@ -7,13 +7,17 @@ package cluster
 // the router checking that no read ever observes a torn tile.
 
 import (
+	"bytes"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"sync"
 	"testing"
 
 	"outcore/internal/layout"
+	"outcore/internal/ooc"
+	"outcore/internal/server"
 )
 
 // hammerEdge sizes the hammer array; tiles are tileEdge-aligned.
@@ -375,5 +379,102 @@ func TestRouterHammer(t *testing.T) {
 	close(errc)
 	for err := range errc {
 		t.Error(err)
+	}
+}
+
+// TestPutSendsOneBodyToEveryReplica routes one PUT to a tile with
+// three replicas and requires every node to receive the same body
+// bytes: the router encodes the piece's wire frame once and sends that
+// one encoding to each replica.
+func TestPutSendsOneBodyToEveryReplica(t *testing.T) {
+	lc := newTestCluster(t, 3, 3)
+	type received struct {
+		body     []byte
+		encoding string
+	}
+	var mu sync.Mutex
+	got := map[string]received{}
+	for _, n := range lc.nodes {
+		inner, id := *n.handler.Load(), n.ID
+		var tap http.Handler = http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			if r.Method == http.MethodPut {
+				body, err := io.ReadAll(r.Body)
+				if err != nil {
+					t.Errorf("%s: read body: %v", id, err)
+				}
+				mu.Lock()
+				got[id] = received{body, r.Header.Get("Content-Encoding")}
+				mu.Unlock()
+				r.Body = io.NopCloser(bytes.NewReader(body))
+			}
+			inner.ServeHTTP(w, r)
+		})
+		n.handler.Store(&tap)
+	}
+
+	box := layout.NewBox([]int64{0, 0}, []int64{testTile, testTile})
+	data := make([]float64, box.Size())
+	for i := range data {
+		data[i] = 20 + float64(i)*0.25
+	}
+	if _, _, err := lc.Client().PutTile("A", box, data, 0, true); err != nil {
+		t.Fatalf("put: %v", err)
+	}
+
+	mu.Lock()
+	defer mu.Unlock()
+	if len(got) != 3 {
+		t.Fatalf("%d replicas received a PUT, want 3", len(got))
+	}
+	first := got[lc.nodes[0].ID]
+	for id, r := range got {
+		if r.encoding != server.WireEncoding {
+			t.Errorf("%s: Content-Encoding %q, want %q", id, r.encoding, server.WireEncoding)
+		}
+		if !bytes.Equal(r.body, first.body) {
+			t.Errorf("%s received a different body than %s", id, lc.nodes[0].ID)
+		}
+	}
+	decoded := make([]float64, len(data))
+	if _, err := ooc.DecodeFrame(first.body, decoded); err != nil {
+		t.Fatalf("decode replica body: %v", err)
+	}
+	for i := range data {
+		if math.Float64bits(decoded[i]) != math.Float64bits(data[i]) {
+			t.Fatalf("replica body element %d = %v, want %v", i, decoded[i], data[i])
+		}
+	}
+}
+
+// TestArrayNameNeedsEscaping runs a routed tile PUT, GET and reduce on
+// an array whose name holds URL metacharacters occd accepts. Pasted raw
+// into the router's node URLs, "a?b#1" would reach the node as array
+// "a" and fail.
+func TestArrayNameNeedsEscaping(t *testing.T) {
+	lc := newTestCluster(t, 3, 2)
+	const name = "a?b#1"
+	if err := lc.CreateArray(name, testEdge, testEdge); err != nil {
+		t.Fatalf("create %q: %v", name, err)
+	}
+	cli := lc.Client()
+	box := layout.NewBox([]int64{0, 0}, []int64{testTile, 2 * testTile})
+	if _, _, err := cli.PutTile(name, box, fillTile(3, box), 0, true); err != nil {
+		t.Fatalf("put: %v", err)
+	}
+	got, _, err := cli.GetTile(name, box, true)
+	if err != nil {
+		t.Fatalf("get: %v", err)
+	}
+	for i, v := range got {
+		if v != 3 {
+			t.Fatalf("element %d = %v, want 3", i, v)
+		}
+	}
+	sum, count, err := cli.Reduce(name, box, "sum")
+	if err != nil {
+		t.Fatalf("reduce: %v", err)
+	}
+	if count != box.Size() || sum != 3*float64(box.Size()) {
+		t.Fatalf("reduce sum = (%v, %d), want (%v, %d)", sum, count, 3*float64(box.Size()), box.Size())
 	}
 }

@@ -47,6 +47,7 @@ import (
 	"hash/crc32"
 	"math"
 	"math/bits"
+	"slices"
 )
 
 // Codec identifiers carried in frame headers. Zero is deliberately
@@ -84,31 +85,28 @@ func AppendFrame(dst []byte, data []float64) []byte {
 		panic(fmt.Sprintf("ooc: frame of %d elements exceeds the codec bound %d", n, maxFrameElems))
 	}
 	start := len(dst)
-	var hdr [frameHeaderBytes]byte
-	dst = append(dst, hdr[:]...)
-	codec := CodecRaw
+	raw := n * ElemSize
+	// One growth covers every outcome: the gorilla stream is abandoned
+	// as soon as it stops beating raw.
+	dst = slices.Grow(dst, frameSizeBytes(raw))
+	payload := dst[start+frameHeaderBytes : start+frameSizeBytes(raw)]
+	codec, encLen := CodecRaw, raw
 	if n > 0 {
-		dst = gorillaEncode(dst, data)
-		codec = CodecGorilla
-	}
-	encLen := len(dst) - start - frameHeaderBytes
-	if codec == CodecGorilla && encLen >= n*ElemSize {
-		// Incompressible: rewind and store the raw bit patterns.
-		dst = dst[:start+frameHeaderBytes]
-		var b [8]byte
-		for _, v := range data {
-			binary.LittleEndian.PutUint64(b[:], math.Float64bits(v))
-			dst = append(dst, b[:]...)
+		if enc := gorillaEncode(payload, data); enc >= 0 {
+			codec, encLen = CodecGorilla, enc
 		}
-		encLen = n * ElemSize
-		codec = CodecRaw
 	}
-	crc := crc32.Checksum(dst[start+frameHeaderBytes:], walCRCTable)
+	if codec == CodecRaw {
+		for i, v := range data {
+			binary.LittleEndian.PutUint64(payload[i*ElemSize:], math.Float64bits(v))
+		}
+	}
+	padded := (encLen + 7) / 8 * 8
+	clear(payload[encLen:padded])
+	crc := crc32.Checksum(payload[:encLen], walCRCTable)
+	dst = dst[:start+frameHeaderBytes+padded]
 	binary.LittleEndian.PutUint64(dst[start:], uint64(codec)<<56|uint64(uint32(n)))
 	binary.LittleEndian.PutUint64(dst[start+8:], uint64(uint32(encLen))<<32|uint64(crc))
-	for pad := (8 - encLen%8) % 8; pad > 0; pad-- {
-		dst = append(dst, 0)
-	}
 	return dst
 }
 
@@ -181,9 +179,7 @@ func DecodeFrame(frame []byte, dst []float64) (int, error) {
 	}
 	switch int(w0 >> 56) {
 	case CodecRaw:
-		for i := range dst {
-			dst[i] = math.Float64frombits(binary.LittleEndian.Uint64(payload[i*ElemSize:]))
-		}
+		rawDecode(dst, payload)
 	case CodecGorilla:
 		if err := gorillaDecode(payload, dst); err != nil {
 			return 0, err
@@ -192,131 +188,236 @@ func DecodeFrame(frame []byte, dst []float64) (int, error) {
 	return size, nil
 }
 
-// bitWriter appends an MSB-first bit stream to a byte slice.
-type bitWriter struct {
-	buf []byte
-	cur byte
-	n   uint8 // bits buffered in cur (0..7)
-}
-
-func (w *bitWriter) writeBit(b uint64) {
-	w.cur = w.cur<<1 | byte(b&1)
-	w.n++
-	if w.n == 8 {
-		w.buf = append(w.buf, w.cur)
-		w.cur, w.n = 0, 0
+// rawDecode unpacks little-endian float64 bit patterns from payload
+// (at least 8*len(dst) bytes) into dst, eight to a step.
+func rawDecode(dst []float64, payload []byte) {
+	p := payload[:len(dst)*ElemSize]
+	for len(dst) >= 8 {
+		q, d := p[:64], dst[:8]
+		d[0] = math.Float64frombits(binary.LittleEndian.Uint64(q[0:]))
+		d[1] = math.Float64frombits(binary.LittleEndian.Uint64(q[8:]))
+		d[2] = math.Float64frombits(binary.LittleEndian.Uint64(q[16:]))
+		d[3] = math.Float64frombits(binary.LittleEndian.Uint64(q[24:]))
+		d[4] = math.Float64frombits(binary.LittleEndian.Uint64(q[32:]))
+		d[5] = math.Float64frombits(binary.LittleEndian.Uint64(q[40:]))
+		d[6] = math.Float64frombits(binary.LittleEndian.Uint64(q[48:]))
+		d[7] = math.Float64frombits(binary.LittleEndian.Uint64(q[56:]))
+		dst, p = dst[8:], p[64:]
+	}
+	for i := range dst {
+		dst[i] = math.Float64frombits(binary.LittleEndian.Uint64(p[i*ElemSize:]))
 	}
 }
 
-func (w *bitWriter) writeBits(v uint64, nb uint) {
-	for i := int(nb) - 1; i >= 0; i-- {
-		w.writeBit(v >> uint(i))
+// The bit writer stores an MSB-first bit stream into a byte slice a
+// word at a time: bits collect left-aligned in an accumulator and leave
+// as big-endian 64-bit words, which lays them out exactly as a
+// bit-at-a-time writer would. Its state — the next store offset pos,
+// the accumulator acc and its count of still-empty bits free (1..64) —
+// lives in the encoder's locals and passes through putBits by value:
+// Go keeps no register across a call, so a struct in memory or an
+// append's growth call in the loop would send the state through memory
+// on every value.
+
+// putBits adds the low nb bits of v, most significant first, to the
+// writer state and returns the new (pos, acc, free); a filled word is
+// stored at out[pos:]. 1 <= nb <= 64, and the bits of v above nb must
+// be zero. A word that does not fit in out is not stored: pos comes
+// back as len(out), marking the stream too long. Shift counts are
+// masked where they provably fit, which spares the compiler's
+// shift-overflow fixups.
+func putBits(out []byte, pos int, acc uint64, free uint, v uint64, nb uint) (int, uint64, uint) {
+	if nb < free {
+		return pos, acc | v<<((free-nb)&63), free - nb
 	}
+	if pos+8 > len(out) {
+		return len(out), acc, free
+	}
+	rest := (nb - free) & 63
+	binary.BigEndian.PutUint64(out[pos:], acc|v>>rest)
+	// v<<1<<(63-rest) is v<<(64-rest), and empty when rest is 0.
+	return pos + 8, v << 1 << ((63 - rest) & 63), 64 - rest
 }
 
-// finish pads the last partial byte with zero bits and returns the
-// stream.
-func (w *bitWriter) finish() []byte {
-	if w.n > 0 {
-		w.buf = append(w.buf, w.cur<<(8-w.n))
-		w.cur, w.n = 0, 0
-	}
-	return w.buf
-}
-
-// bitReader consumes an MSB-first bit stream; overruns latch err.
+// bitReader consumes an MSB-first bit stream a word at a time. Bits
+// past the end read as zero; overrun reports whether any were
+// consumed, which is how a short stream is rejected.
 type bitReader struct {
 	buf []byte
-	pos int
-	n   uint8
-	err bool
+	pos uint // offset of the next unread bit
 }
 
-func (r *bitReader) readBit() uint64 {
-	if r.pos >= len(r.buf) {
-		r.err = true
-		return 0
+// peekBits is the number of valid bits peek guarantees: a 64-bit load
+// at a byte boundary, less up to 7 bits already consumed in its first
+// byte.
+const peekBits = 57
+
+// peek returns the next bits left-aligned without consuming them; at
+// least peekBits of the result are stream bits (or zero past the end).
+func (r bitReader) peek() uint64 {
+	i := r.pos >> 3
+	if i+8 <= uint(len(r.buf)) {
+		return binary.BigEndian.Uint64(r.buf[i:]) << (r.pos & 7)
 	}
-	b := uint64(r.buf[r.pos]>>(7-r.n)) & 1
-	r.n++
-	if r.n == 8 {
-		r.n = 0
-		r.pos++
-	}
-	return b
+	return r.peekTail(i) << (r.pos & 7)
 }
 
-func (r *bitReader) readBits(nb uint) uint64 {
-	var v uint64
-	for i := uint(0); i < nb; i++ {
-		v = v<<1 | r.readBit()
+// peekTail is peek's load for the stream's last 8 bytes, zero-filled.
+func (r bitReader) peekTail(i uint) uint64 {
+	var w uint64
+	for k := i; k < i+8; k++ {
+		w <<= 8
+		if k < uint(len(r.buf)) {
+			w |= uint64(r.buf[k])
+		}
 	}
-	return v
+	return w
 }
 
-// gorillaEncode appends the XOR-of-previous bit stream for data (at
-// least one element) to dst.
-func gorillaEncode(dst []byte, data []float64) []byte {
-	w := bitWriter{buf: dst}
+// readWide returns the nb bits (33 <= nb <= 64) at the reader's
+// position right-aligned, in two loads; the caller advances past them.
+// It takes the reader by value so the decoder's reader never has its
+// address taken and stays in registers.
+func (r bitReader) readWide(nb uint) uint64 {
+	hi := r.peek() >> ((96 - nb) & 63)
+	r.pos += nb - 32
+	return hi<<32 | r.peek()>>32
+}
+
+// overrun reports whether reads went past the end of the stream.
+func (r bitReader) overrun() bool { return r.pos > 8*uint(len(r.buf)) }
+
+// gorillaEncode writes the XOR-of-previous bit stream for data (at
+// least one element) to the start of out (at least 8 bytes) and
+// returns its byte length, or -1 if the stream needs len(out) bytes or
+// more — AppendFrame stores such a payload raw, so the encoder stops
+// as soon as it knows. Each value's control bits, window header and
+// meaningful bits go out as one putBits whenever they fit a word, and
+// the loop makes no call that returns.
+func gorillaEncode(out []byte, data []float64) int {
 	prev := math.Float64bits(data[0])
-	w.writeBits(prev, 64)
-	var winLead, winSig uint
-	for _, f := range data[1:] {
-		cur := math.Float64bits(f)
+	binary.BigEndian.PutUint64(out, prev)
+	pos, acc, free := 8, uint64(0), uint(64)
+	// winMask covers the current window's meaningful bits (0 until the
+	// first window, so no nonzero XOR fits it). Its width and shift are
+	// recounted when needed rather than kept live: the loop is short of
+	// registers.
+	var winMask uint64
+	for i := 1; i < len(data); i++ {
+		if pos >= len(out) {
+			return -1
+		}
+		cur := math.Float64bits(data[i])
 		xor := cur ^ prev
-		prev = cur
 		if xor == 0 {
-			w.writeBit(0)
+			// 0: an identical value, one bit.
+			pos, acc, free = putBits(out, pos, acc, free, 0, 1)
 			continue
 		}
-		w.writeBit(1)
+		prev = cur
+		if xor&^winMask == 0 {
+			// 1 0 <m>: the XOR fits the current window.
+			shift := uint(bits.TrailingZeros64(winMask))
+			sig := 64 - uint(bits.LeadingZeros64(winMask)) - shift
+			m := xor >> (shift & 63)
+			if sig <= 62 {
+				pos, acc, free = putBits(out, pos, acc, free, 0b10<<(sig&63)|m, 2+sig)
+			} else {
+				pos, acc, free = putBits(out, pos, acc, free, 0b10, 2)
+				pos, acc, free = putBits(out, pos, acc, free, m, sig)
+			}
+			continue
+		}
+		// 1 1 L S <m>: open a new window.
 		lead := uint(bits.LeadingZeros64(xor))
 		trail := uint(bits.TrailingZeros64(xor))
-		if winSig > 0 && lead >= winLead && trail >= 64-winLead-winSig {
-			w.writeBit(0)
-			w.writeBits(xor>>(64-winLead-winSig), winSig)
-			continue
-		}
 		sig := 64 - lead - trail
-		w.writeBit(1)
-		w.writeBits(uint64(lead), 6)
-		w.writeBits(uint64(sig-1), 6)
-		w.writeBits(xor>>trail, sig)
-		winLead, winSig = lead, sig
+		hdr := uint64(0b11<<12 | lead<<6 | (sig - 1))
+		if sig <= 64-14 {
+			pos, acc, free = putBits(out, pos, acc, free, hdr<<(sig&63)|xor>>(trail&63), 14+sig)
+		} else {
+			pos, acc, free = putBits(out, pos, acc, free, hdr, 14)
+			pos, acc, free = putBits(out, pos, acc, free, xor>>(trail&63), sig)
+		}
+		winMask = math.MaxUint64 >> (lead & 63) &^ (1<<(trail&63) - 1)
 	}
-	return w.finish()
+	// The pending bits, zero-padded to a whole byte.
+	tail := int(64-free+7) / 8
+	if pos+tail >= len(out) {
+		return -1
+	}
+	for ; tail > 0; tail-- {
+		out[pos] = byte(acc >> 56)
+		acc <<= 8
+		pos++
+	}
+	return pos
 }
 
 // gorillaDecode reverses gorillaEncode into dst (the element count
 // comes from the frame header). A malformed stream — window reuse
 // before any window exists, a window wider than 64 bits, or a stream
 // shorter than the element count needs — is an error.
+//
+// Each value starts with one peek: a run of 0 control bits decodes as
+// that many repeats at once, and a value whose control bits, window
+// header and meaningful bits all lie within the peeked word needs no
+// second load.
 func gorillaDecode(payload []byte, dst []float64) error {
 	r := bitReader{buf: payload}
-	prev := r.readBits(64)
+	prev := r.readWide(64)
+	r.pos = 64
 	dst[0] = math.Float64frombits(prev)
-	var winLead, winSig uint
-	for i := 1; i < len(dst); i++ {
-		if r.readBit() == 0 {
-			dst[i] = math.Float64frombits(prev)
+	var winSig, winShift uint
+	for i := 1; i < len(dst); {
+		w := r.peek()
+		if w>>63 == 0 {
+			// 0: identical values, one bit each.
+			run := min(uint(bits.LeadingZeros64(w)), peekBits, uint(len(dst)-i))
+			v, fill := math.Float64frombits(prev), dst[i:i+int(run)]
+			for k := range fill {
+				fill[k] = v
+			}
+			i += int(run)
+			r.pos += run
 			continue
 		}
-		if r.readBit() == 0 {
+		var m uint64
+		if w>>62 == 0b10 {
+			// 1 0 <m>: reuse the current window.
 			if winSig == 0 {
 				return errCodecFrame
 			}
-			prev ^= r.readBits(winSig) << (64 - winLead - winSig)
+			if 2+winSig <= peekBits {
+				m = w << 2 >> ((64 - winSig) & 63)
+				r.pos += 2 + winSig
+			} else {
+				r.pos += 2
+				m = r.readWide(winSig)
+				r.pos += winSig
+			}
 		} else {
-			winLead = uint(r.readBits(6))
-			winSig = uint(r.readBits(6)) + 1
+			// 1 1 L S <m>: a new window.
+			winLead := uint(w>>56) & 63
+			winSig = uint(w>>50)&63 + 1
 			if winLead+winSig > 64 {
 				return errCodecFrame
 			}
-			prev ^= r.readBits(winSig) << (64 - winLead - winSig)
+			winShift = 64 - winLead - winSig
+			if 14+winSig <= peekBits {
+				m = w << 14 >> ((64 - winSig) & 63)
+				r.pos += 14 + winSig
+			} else {
+				r.pos += 14
+				m = r.readWide(winSig)
+				r.pos += winSig
+			}
 		}
+		prev ^= m << (winShift & 63)
 		dst[i] = math.Float64frombits(prev)
+		i++
 	}
-	if r.err {
+	if r.overrun() {
 		return errCodecFrame
 	}
 	return nil

@@ -2,11 +2,20 @@ package ooc
 
 import (
 	"bytes"
+	"encoding/hex"
+	"flag"
+	"fmt"
 	"math"
 	"math/rand"
+	"os"
+	"path/filepath"
+	"sort"
+	"strings"
 	"testing"
 	"testing/quick"
 )
+
+var update = flag.Bool("update", false, "rewrite the golden codec frames from the live encoder")
 
 // codecCases is the shared table of payload shapes: the smooth kernels
 // the codec is built for, the incompressible ones that must fall back
@@ -250,3 +259,110 @@ func FuzzTileCodec(f *testing.F) {
 		}
 	})
 }
+
+// TestFrameGolden pins the at-rest, WAL and wire format: the hex frame
+// for every codecCases shape must match testdata/codec_frames.golden.
+// A diff here means directories, logs or peers written by an older
+// build would no longer decode the same. Regenerate only on a
+// deliberate format change, with: go test ./internal/ooc/ -run TestFrameGolden -update
+func TestFrameGolden(t *testing.T) {
+	cases := codecCases()
+	names := make([]string, 0, len(cases))
+	for name := range cases {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	var sb strings.Builder
+	for _, name := range names {
+		fmt.Fprintf(&sb, "%s %s\n", name, hex.EncodeToString(AppendFrame(nil, cases[name])))
+	}
+	path := filepath.Join("testdata", "codec_frames.golden")
+	if *update {
+		if err := os.WriteFile(path, []byte(sb.String()), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("%v (run with -update to create it)", err)
+	}
+	gotLines, wantLines := strings.Split(sb.String(), "\n"), strings.Split(string(want), "\n")
+	for i := 0; i < len(gotLines) || i < len(wantLines); i++ {
+		var g, w string
+		if i < len(gotLines) {
+			g = gotLines[i]
+		}
+		if i < len(wantLines) {
+			w = wantLines[i]
+		}
+		if g != w {
+			t.Fatalf("frame line %d differs from the golden:\n got %.120s\nwant %.120s", i+1, g, w)
+		}
+	}
+}
+
+// benchShapes are the codec benchmark payloads: the smooth ramp and
+// quantised sine the codec is built for, incompressible random bits
+// (the raw fallback), and a 16x16 tile of the repository benchmark's
+// quarter-integer sensor model (a GET or PUT body on a 1024-wide
+// array).
+func benchShapes() []struct {
+	name string
+	data []float64
+} {
+	cases := codecCases()
+	tile := make([]float64, 0, 256)
+	for i := int64(48); i < 64; i++ {
+		for j := int64(320); j < 336; j++ {
+			tile = append(tile, float64(((i*1024+j)*13+3*7919)%65536)*0.25)
+		}
+	}
+	return []struct {
+		name string
+		data []float64
+	}{
+		{"ramp", cases["ramp"]},
+		{"quant-sine", cases["quant-sine"]},
+		{"random-bits", cases["random-bits"]},
+		{"tile16", tile},
+	}
+}
+
+// benchFrameEncode measures enc into a reused destination; MB/s
+// counts raw payload bytes.
+func benchFrameEncode(b *testing.B, enc func([]byte, []float64) []byte) {
+	for _, s := range benchShapes() {
+		b.Run(s.name, func(b *testing.B) {
+			dst := enc(nil, s.data)
+			b.SetBytes(int64(len(s.data) * ElemSize))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				dst = enc(dst[:0], s.data)
+			}
+		})
+	}
+}
+
+// benchFrameDecode measures dec into a reused destination; MB/s counts
+// raw payload bytes.
+func benchFrameDecode(b *testing.B, dec func([]byte, []float64) (int, error)) {
+	for _, s := range benchShapes() {
+		b.Run(s.name, func(b *testing.B) {
+			frame := AppendFrame(nil, s.data)
+			dst := make([]float64, len(s.data))
+			b.SetBytes(int64(len(s.data) * ElemSize))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := dec(frame, dst); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+func BenchmarkFrameEncode(b *testing.B) { benchFrameEncode(b, AppendFrame) }
+func BenchmarkFrameDecode(b *testing.B) { benchFrameDecode(b, DecodeFrame) }
