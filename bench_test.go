@@ -153,9 +153,9 @@ func BenchmarkOptimizer(b *testing.B) {
 	}
 }
 
-// BenchmarkTileIO measures the out-of-core runtime's tile read path for
-// matched and mismatched layouts — the micro-mechanism behind every
-// table.
+// BenchmarkTileIO measures the out-of-core runtime's tile read+write
+// path for matched and mismatched layouts — the micro-mechanism behind
+// every table — and a diagonal layout, whose inverse is a search.
 func BenchmarkTileIO(b *testing.B) {
 	const n = 512
 	meta := ir.NewArray("A", n, n)
@@ -165,6 +165,7 @@ func BenchmarkTileIO(b *testing.B) {
 	}{
 		{"row-major", layout.RowMajor(n, n)},
 		{"col-major", layout.ColMajor(n, n)},
+		{"diagonal", layout.Diagonal(n, n)},
 	} {
 		b.Run(tc.name, func(b *testing.B) {
 			d := ooc.NewDisk(8192)
@@ -173,6 +174,7 @@ func BenchmarkTileIO(b *testing.B) {
 				b.Fatal(err)
 			}
 			box := layout.NewBox([]int64{0, 0}, []int64{8, n})
+			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				tile, err := arr.ReadTile(box)

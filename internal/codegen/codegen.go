@@ -20,7 +20,6 @@ package codegen
 
 import (
 	"fmt"
-	"time"
 
 	"outcore/internal/core"
 	"outcore/internal/deps"
@@ -76,6 +75,7 @@ type Schedule struct {
 	bounds    *fm.Bounds
 	stmts     []schedStmt
 	groups    []*refGroup
+	slots     []refSlot
 	writes    map[*ir.Array]bool
 }
 
@@ -86,13 +86,17 @@ type refGroup struct {
 	offs [][]int64   // offsets of the member references
 }
 
-// schedStmt binds each statement reference to its group.
+// refSlot is one statement reference: its group and constant offset.
+type refSlot struct {
+	group int
+	off   []int64
+}
+
+// schedStmt binds each statement reference to a slot.
 type schedStmt struct {
-	st       *ir.Stmt
-	outGroup int
-	outOff   []int64
-	inGroup  []int
-	inOff    [][]int64
+	st  *ir.Stmt
+	in  []int // slots of the reads, in statement order
+	out int   // slot of the write
 }
 
 // Build constructs the schedule for one nest under a plan.
@@ -112,24 +116,29 @@ func Build(n *ir.Nest, np *core.NestPlan, opts Options) (*Schedule, error) {
 	}
 	s.bounds = fm.TransformedBounds(np.Q, lo, hi).Eliminate()
 
-	groupOf := func(r ir.Ref) int {
+	slotOf := func(r ir.Ref) int {
+		gi := -1
 		m := r.L.Mul(np.Q)
-		for gi, g := range s.groups {
+		for i, g := range s.groups {
 			if g.arr == r.Array && g.m.Equal(m) {
 				g.offs = append(g.offs, r.Off)
-				return gi
+				gi = i
+				break
 			}
 		}
-		s.groups = append(s.groups, &refGroup{arr: r.Array, m: m, offs: [][]int64{r.Off}})
-		return len(s.groups) - 1
+		if gi < 0 {
+			s.groups = append(s.groups, &refGroup{arr: r.Array, m: m, offs: [][]int64{r.Off}})
+			gi = len(s.groups) - 1
+		}
+		s.slots = append(s.slots, refSlot{group: gi, off: r.Off})
+		return len(s.slots) - 1
 	}
 	for _, st := range n.Body {
-		ss := schedStmt{st: st, outGroup: groupOf(st.Out), outOff: st.Out.Off}
-		s.writes[st.Out.Array] = true
+		ss := schedStmt{st: st, out: slotOf(st.Out)}
 		for _, r := range st.In {
-			ss.inGroup = append(ss.inGroup, groupOf(r))
-			ss.inOff = append(ss.inOff, r.Off)
+			ss.in = append(ss.in, slotOf(r))
 		}
+		s.writes[st.Out.Array] = true
 		s.stmts = append(s.stmts, ss)
 	}
 	// A written array must have exactly one access-matrix group.
@@ -225,446 +234,6 @@ func transformDeps(ds []deps.Dependence, t *matrix.Int) []deps.Dependence {
 	return out
 }
 
-// ExecStats reports what one schedule execution did.
-type ExecStats struct {
-	Iterations int64 // statement-loop iterations executed
-	Tiles      int64 // non-empty tiles processed
-}
-
-// Execute runs the whole schedule against the disk.
-func (s *Schedule) Execute(d *ooc.Disk, mem *ooc.Memory) (ExecStats, error) {
-	return s.ExecuteSlice(d, mem, 0, 1)
-}
-
-// ExecuteSlice runs the schedule's share for processor `part` of
-// `parts`: the outermost tile loop is block-partitioned, the paper's
-// communication-free parallelization.
-func (s *Schedule) ExecuteSlice(d *ooc.Disk, mem *ooc.Memory, part, parts int) (ExecStats, error) {
-	if parts < 1 || part < 0 || part >= parts {
-		return ExecStats{}, fmt.Errorf("codegen: bad partition %d/%d", part, parts)
-	}
-	var stats ExecStats
-	if !s.bounds.Feasible() {
-		return stats, nil
-	}
-	k := s.Spec.Depth()
-	// Tile counts along level 0 for block partitioning.
-	nt0 := ceilDiv(s.Spec.Hi[0]-s.Spec.Lo[0]+1, s.Spec.Sizes[0])
-	t0from, t0to := blockRange(nt0, int64(part), int64(parts))
-
-	if s.engine != nil && !s.dryRun {
-		err := s.executeSliceEngine(d, t0from, t0to, &stats)
-		return stats, err
-	}
-	origin := make([]int64, k)
-	var rec func(lvl int) error
-	rec = func(lvl int) error {
-		if lvl == k {
-			return s.runTile(d, mem, origin, &stats)
-		}
-		from, to := s.Spec.Lo[lvl], s.Spec.Hi[lvl]
-		step := s.Spec.Sizes[lvl]
-		if lvl == 0 {
-			from = s.Spec.Lo[0] + t0from*step
-			to = s.Spec.Lo[0] + t0to*step - 1
-			if to > s.Spec.Hi[0] {
-				to = s.Spec.Hi[0]
-			}
-		}
-		for o := from; o <= to; o += step {
-			origin[lvl] = o
-			if err := rec(lvl + 1); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	err := rec(0)
-	return stats, err
-}
-
-// executeSliceEngine runs the partition's tiles through the concurrent
-// tile engine: the tile origins are materialized up front so that while
-// tile i computes, tile i+1's read footprints are already being
-// prefetched — the PASSION double-buffering pattern.
-func (s *Schedule) executeSliceEngine(d *ooc.Disk, t0from, t0to int64, stats *ExecStats) error {
-	k := s.Spec.Depth()
-	var origins [][]int64
-	origin := make([]int64, k)
-	var rec func(lvl int)
-	rec = func(lvl int) {
-		if lvl == k {
-			origins = append(origins, append([]int64(nil), origin...))
-			return
-		}
-		from, to := s.Spec.Lo[lvl], s.Spec.Hi[lvl]
-		step := s.Spec.Sizes[lvl]
-		if lvl == 0 {
-			from = s.Spec.Lo[0] + t0from*step
-			to = s.Spec.Lo[0] + t0to*step - 1
-			if to > s.Spec.Hi[0] {
-				to = s.Spec.Hi[0]
-			}
-		}
-		for o := from; o <= to; o += step {
-			origin[lvl] = o
-			rec(lvl + 1)
-		}
-	}
-	rec(0)
-	for i, org := range origins {
-		var next []int64
-		if i+1 < len(origins) {
-			next = origins[i+1]
-		}
-		if err := s.runTileEngine(d, org, next, stats); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// tileBounds returns the inclusive iteration-space bounds of the tile
-// at origin, clipped to the spec.
-func (s *Schedule) tileBounds(origin []int64) (tLo, tHi []int64) {
-	k := s.Spec.Depth()
-	tLo = make([]int64, k)
-	tHi = make([]int64, k)
-	for lvl := 0; lvl < k; lvl++ {
-		tLo[lvl] = origin[lvl]
-		tHi[lvl] = origin[lvl] + s.Spec.Sizes[lvl] - 1
-		if tHi[lvl] > s.Spec.Hi[lvl] {
-			tHi[lvl] = s.Spec.Hi[lvl]
-		}
-	}
-	return tLo, tHi
-}
-
-// runTile processes one tile: read group footprints, execute
-// iterations, write back.
-func (s *Schedule) runTile(d *ooc.Disk, mem *ooc.Memory, origin []int64, stats *ExecStats) error {
-	k := s.Spec.Depth()
-	tLo, tHi := s.tileBounds(origin)
-	if s.dryRun {
-		return s.dryRunTile(d, mem, tLo, tHi, stats)
-	}
-	tiles := make([]*ooc.Tile, len(s.groups))
-	var allocated int64
-	var tileErr error
-	loaded := false
-	ensureTiles := func() bool {
-		if loaded || tileErr != nil {
-			return tileErr == nil
-		}
-		loaded = true
-		for gi, g := range s.groups {
-			box := g.footprintBox(tLo, tHi)
-			if box.Empty() {
-				continue
-			}
-			if err := mem.Alloc(box.Size()); err != nil {
-				tileErr = err
-				return false
-			}
-			allocated += box.Size()
-			arr := d.ArrayOf(g.arr)
-			if arr == nil {
-				tileErr = fmt.Errorf("codegen: array %s not on disk", g.arr.Name)
-				return false
-			}
-			tile, err := arr.ReadTile(box)
-			if err != nil {
-				tileErr = err
-				return false
-			}
-			tiles[gi] = tile
-		}
-		return true
-	}
-
-	iterated := false
-	origIv := make([]int64, k)
-	coord := make([]int64, 0, 8)
-	t0 := s.computeStart()
-	s.enumerateWithin(tLo, tHi, func(iv []int64) {
-		if tileErr != nil {
-			return
-		}
-		if !ensureTiles() {
-			return
-		}
-		iterated = true
-		stats.Iterations++
-		// Original iteration vector for guards and statement functions.
-		for r := 0; r < k; r++ {
-			var acc int64
-			for c := 0; c < k; c++ {
-				acc += s.Plan.Q.At(r, c) * iv[c]
-			}
-			origIv[r] = acc
-		}
-		for _, ss := range s.stmts {
-			if !ss.st.Guarded(origIv) {
-				continue
-			}
-			in := make([]float64, len(ss.inGroup))
-			for i, gi := range ss.inGroup {
-				coord = elementCoord(coord[:0], s.groups[gi].m, ss.inOff[i], iv)
-				in[i] = tiles[gi].Get(coord)
-			}
-			v := ss.st.F(in, origIv)
-			coord = elementCoord(coord[:0], s.groups[ss.outGroup].m, ss.outOff, iv)
-			tiles[ss.outGroup].Set(coord, v)
-		}
-	})
-	s.computeEnd(t0)
-	if tileErr != nil {
-		return tileErr
-	}
-	if iterated {
-		stats.Tiles++
-		for gi, g := range s.groups {
-			if s.writes[g.arr] && tiles[gi] != nil {
-				if err := tiles[gi].WriteTile(); err != nil {
-					return err
-				}
-			}
-		}
-	}
-	mem.Release(allocated)
-	return nil
-}
-
-// runTileEngine processes one tile through the concurrent engine:
-// acquire the group footprints from the cache (parallel fetch on
-// misses), kick off prefetches for the next tile's read-only
-// footprints, execute the iterations, and release with dirty marking so
-// write-back happens on eviction or flush.
-func (s *Schedule) runTileEngine(d *ooc.Disk, origin, next []int64, stats *ExecStats) error {
-	k := s.Spec.Depth()
-	tLo, tHi := s.tileBounds(origin)
-	if s.countWithin(tLo, tHi) == 0 {
-		return nil
-	}
-	var reqs []ooc.TileReq
-	var reqGroup []int
-	tiles := make([]*ooc.Tile, len(s.groups))
-	for gi, g := range s.groups {
-		box := g.footprintBox(tLo, tHi)
-		if box.Empty() {
-			continue
-		}
-		arr := d.ArrayOf(g.arr)
-		if arr == nil {
-			return fmt.Errorf("codegen: array %s not on disk", g.arr.Name)
-		}
-		reqs = append(reqs, ooc.TileReq{Arr: arr, Box: box})
-		reqGroup = append(reqGroup, gi)
-	}
-	handles, err := s.engine.AcquireAll(reqs)
-	if err != nil {
-		return err
-	}
-	for i, h := range handles {
-		tiles[reqGroup[i]] = h.Tile()
-	}
-	// Double buffering: while this tile computes, the workers read the
-	// next tile's footprints. Written arrays are excluded — their boxes
-	// may be dirtied by this tile's release, which would force the
-	// prefetched copy to be discarded and re-read (extra I/O the
-	// sequential runtime never pays). The same economics gate the whole
-	// batch on cache capacity: unless the cache can hold this tile's
-	// pinned working set plus the prefetched tiles, prefetching evicts
-	// tiles before they are used and inflates the call count instead of
-	// hiding it.
-	if next != nil {
-		nLo, nHi := s.tileBounds(next)
-		if s.countWithin(nLo, nHi) > 0 {
-			var pre []ooc.TileReq
-			for _, g := range s.groups {
-				if s.writes[g.arr] {
-					continue
-				}
-				box := g.footprintBox(nLo, nHi)
-				if box.Empty() {
-					continue
-				}
-				if arr := d.ArrayOf(g.arr); arr != nil {
-					pre = append(pre, ooc.TileReq{Arr: arr, Box: box})
-				}
-			}
-			if s.engine.Capacity() >= len(reqs)+len(pre) {
-				for _, p := range pre {
-					s.engine.Prefetch(p.Arr, p.Box)
-				}
-			}
-		}
-	}
-	stats.Tiles++
-	origIv := make([]int64, k)
-	coord := make([]int64, 0, 8)
-	t0 := s.computeStart()
-	s.enumerateWithin(tLo, tHi, func(iv []int64) {
-		stats.Iterations++
-		for r := 0; r < k; r++ {
-			var acc int64
-			for c := 0; c < k; c++ {
-				acc += s.Plan.Q.At(r, c) * iv[c]
-			}
-			origIv[r] = acc
-		}
-		for _, ss := range s.stmts {
-			if !ss.st.Guarded(origIv) {
-				continue
-			}
-			in := make([]float64, len(ss.inGroup))
-			for i, gi := range ss.inGroup {
-				coord = elementCoord(coord[:0], s.groups[gi].m, ss.inOff[i], iv)
-				in[i] = tiles[gi].Get(coord)
-			}
-			v := ss.st.F(in, origIv)
-			coord = elementCoord(coord[:0], s.groups[ss.outGroup].m, ss.outOff, iv)
-			tiles[ss.outGroup].Set(coord, v)
-		}
-	})
-	s.computeEnd(t0)
-	for i, h := range handles {
-		s.engine.Release(h, s.writes[s.groups[reqGroup[i]].arr])
-	}
-	return nil
-}
-
-// computeStart/computeEnd bracket one tile's statement execution as a
-// KindCompute trace span; without an attached trace they cost a nil
-// check and a zero time.Time.
-func (s *Schedule) computeStart() time.Time {
-	if s.trace == nil {
-		return time.Time{}
-	}
-	return time.Now()
-}
-
-func (s *Schedule) computeEnd(t0 time.Time) {
-	if s.trace == nil || t0.IsZero() {
-		return
-	}
-	s.trace.Emit(obs.Event{Kind: obs.KindCompute, Name: s.traceName,
-		Start: s.trace.Stamp(t0), Dur: time.Since(t0).Nanoseconds()})
-}
-
-// dryRunTile accounts one tile's I/O and iteration count without
-// touching data.
-func (s *Schedule) dryRunTile(d *ooc.Disk, mem *ooc.Memory, tLo, tHi []int64, stats *ExecStats) error {
-	iters := s.countWithin(tLo, tHi)
-	if iters == 0 {
-		return nil
-	}
-	stats.Iterations += iters
-	stats.Tiles++
-	if s.engine != nil {
-		// Cached dry run: the engine's tile cache decides which touches
-		// reach the backend accounting; the memory budget is replaced by
-		// the cache's tile-count capacity.
-		for _, g := range s.groups {
-			box := g.footprintBox(tLo, tHi)
-			if box.Empty() {
-				continue
-			}
-			arr := d.ArrayOf(g.arr)
-			if arr == nil {
-				return fmt.Errorf("codegen: array %s not on disk", g.arr.Name)
-			}
-			s.engine.Touch(arr, box, s.writes[g.arr])
-		}
-		return nil
-	}
-	var allocated int64
-	for _, g := range s.groups {
-		box := g.footprintBox(tLo, tHi)
-		if box.Empty() {
-			continue
-		}
-		if err := mem.Alloc(box.Size()); err != nil {
-			return err
-		}
-		allocated += box.Size()
-		arr := d.ArrayOf(g.arr)
-		if arr == nil {
-			return fmt.Errorf("codegen: array %s not on disk", g.arr.Name)
-		}
-		arr.TouchRead(box)
-		if s.writes[g.arr] {
-			arr.TouchWrite(box)
-		}
-	}
-	mem.Release(allocated)
-	return nil
-}
-
-// countWithin counts the integer points of the transformed space
-// restricted to the tile box without visiting them individually: the
-// innermost level contributes its range length directly, which makes
-// dry runs cost O(points / innermost-extent).
-func (s *Schedule) countWithin(tLo, tHi []int64) int64 {
-	k := s.Spec.Depth()
-	iv := make([]int64, k)
-	var rec func(lvl int) int64
-	rec = func(lvl int) int64 {
-		lo, hi, empty := s.bounds.Range(lvl, iv[:lvl])
-		if empty {
-			return 0
-		}
-		if lo < tLo[lvl] {
-			lo = tLo[lvl]
-		}
-		if hi > tHi[lvl] {
-			hi = tHi[lvl]
-		}
-		if hi < lo {
-			return 0
-		}
-		if lvl == k-1 {
-			return hi - lo + 1
-		}
-		var n int64
-		for v := lo; v <= hi; v++ {
-			iv[lvl] = v
-			n += rec(lvl + 1)
-		}
-		return n
-	}
-	return rec(0)
-}
-
-// enumerateWithin visits the integer points of the transformed space
-// restricted to the tile box, in lexicographic order.
-func (s *Schedule) enumerateWithin(tLo, tHi []int64, visit func(iv []int64)) {
-	k := s.Spec.Depth()
-	iv := make([]int64, k)
-	var rec func(lvl int)
-	rec = func(lvl int) {
-		if lvl == k {
-			visit(iv)
-			return
-		}
-		lo, hi, empty := s.bounds.Range(lvl, iv[:lvl])
-		if empty {
-			return
-		}
-		if lo < tLo[lvl] {
-			lo = tLo[lvl]
-		}
-		if hi > tHi[lvl] {
-			hi = tHi[lvl]
-		}
-		for v := lo; v <= hi; v++ {
-			iv[lvl] = v
-			rec(lvl + 1)
-		}
-	}
-	rec(0)
-}
-
 // footprintBox returns the clipped bounding box of the group's accesses
 // over the tile iteration box [tLo, tHi] (inclusive). Exact for the
 // group because all members share the access matrix.
@@ -693,21 +262,11 @@ func (g *refGroup) footprintBox(tLo, tHi []int64) layout.Box {
 				offHi = off[d]
 			}
 		}
-		lo[d] = mn + offLo
-		hi[d] = mx + offHi + 1 // half-open
+		// Half-open, clipped to the array.
+		lo[d] = max(mn+offLo, 0)
+		hi[d] = max(min(mx+offHi+1, g.arr.Dims[d]), lo[d])
 	}
-	return layout.NewBox(lo, hi).Clip(g.arr.Dims)
-}
-
-func elementCoord(dst []int64, m *matrix.Int, off []int64, iv []int64) []int64 {
-	for r := 0; r < m.Rows(); r++ {
-		var acc int64
-		for c := 0; c < m.Cols(); c++ {
-			acc += m.At(r, c) * iv[c]
-		}
-		dst = append(dst, acc+off[r])
-	}
-	return dst
+	return layout.Box{Lo: lo, Hi: hi}
 }
 
 func ceilDiv(a, b int64) int64 { return (a + b - 1) / b }

@@ -8,6 +8,7 @@ package fm
 
 import (
 	"fmt"
+	"math"
 
 	"outcore/internal/matrix"
 	"outcore/internal/rational"
@@ -70,6 +71,15 @@ type Bounds struct {
 	k      int
 	levels [][]constraint // levels[l]: constraints over x_0..x_l with coefs[l] != 0
 	outer  []constraint   // constraints with no variables (feasibility checks)
+	rows   []intLevel     // levels compiled to integer rows for Range
+}
+
+// intLevel is one level's constraints compiled to integers: each row
+// was scaled by the LCM of its denominators and stored as
+// a_0..a_{l-1}, r, d (stride l+2) with d > 0. An upper row reads
+// Σ a_j·x_j + d·x_l <= r, a lower row Σ a_j·x_j − d·x_l <= r.
+type intLevel struct {
+	upper, lower []int64
 }
 
 // Eliminate runs Fourier-Motzkin from the innermost variable outward
@@ -116,6 +126,7 @@ func (s *System) Eliminate() *Bounds {
 			}
 		}
 	}
+	b.compile()
 	b.outer = nil
 	for _, c := range cur {
 		allZero := true
@@ -143,38 +154,113 @@ func (b *Bounds) Feasible() bool {
 	return true
 }
 
+// compile scales every level's rational constraints to integer rows,
+// once, so that Range runs in int64 arithmetic: Range is evaluated at
+// every level of every tile, the rational form only at build time.
+func (b *Bounds) compile() {
+	b.rows = make([]intLevel, b.k)
+	for lvl, cons := range b.levels {
+		for _, c := range cons {
+			scale := c.rhs.Den()
+			for _, x := range c.coefs[:lvl+1] {
+				scale = rational.LCM(scale, x.Den())
+			}
+			row := make([]int64, lvl+1)
+			for j, x := range c.coefs[:lvl] {
+				row[j] = scaleInt(x, scale)
+			}
+			row[lvl] = scaleInt(c.rhs, scale)
+			d := scaleInt(c.coefs[lvl], scale)
+			if g := rational.GCD(rational.GCDAll(row...), d); g > 1 {
+				for j := range row {
+					row[j] /= g
+				}
+				d /= g
+			}
+			lv := &b.rows[lvl]
+			if d > 0 {
+				lv.upper = append(append(lv.upper, row...), d)
+			} else {
+				lv.lower = append(append(lv.lower, row...), -d)
+			}
+		}
+	}
+}
+
+// scaleInt returns x·scale, which must be an integer.
+func scaleInt(x rational.Rat, scale int64) int64 {
+	return x.Mul(rational.FromInt(scale)).Int()
+}
+
 // Range returns the integer bounds [lo, hi] of variable lvl given the
 // values of x_0..x_{lvl-1}. empty is true when no integer value
-// satisfies the constraints.
+// satisfies the constraints. It panics when an intermediate product or
+// sum overflows int64.
 func (b *Bounds) Range(lvl int, outer []int64) (lo, hi int64, empty bool) {
 	if lvl >= b.k || len(outer) < lvl {
 		panic(fmt.Sprintf("fm: Range(%d) with %d outer values", lvl, len(outer)))
 	}
-	haveLo, haveHi := false, false
-	var bestLo, bestHi rational.Rat
-	for _, c := range b.levels[lvl] {
-		// sum_{j<lvl} coefs_j·outer_j + coefs_lvl·x <= rhs
-		acc := c.rhs
-		for j := 0; j < lvl; j++ {
-			acc = acc.Sub(c.coefs[j].Mul(rational.FromInt(outer[j])))
-		}
-		cl := c.coefs[lvl]
-		bound := acc.Div(cl)
-		if cl.Sign() > 0 { // x <= bound
-			if !haveHi || bound.Cmp(bestHi) < 0 {
-				bestHi, haveHi = bound, true
-			}
-		} else { // x >= bound
-			if !haveLo || bound.Cmp(bestLo) > 0 {
-				bestLo, haveLo = bound, true
-			}
-		}
-	}
-	if !haveLo || !haveHi {
+	lv := &b.rows[lvl]
+	if len(lv.upper) == 0 || len(lv.lower) == 0 {
 		panic("fm: unbounded variable (original space must be bounded)")
 	}
-	l, h := bestLo.Ceil(), bestHi.Floor()
-	return l, h, l > h
+	stride := lvl + 2
+	hi = math.MaxInt64
+	for row := lv.upper; len(row) > 0; row = row[stride:] {
+		if v := rowBound(row[:stride], outer); v < hi {
+			hi = v
+		}
+	}
+	lo = math.MinInt64
+	for row := lv.lower; len(row) > 0; row = row[stride:] {
+		if v := subChecked(0, rowBound(row[:stride], outer)); v > lo {
+			lo = v
+		}
+	}
+	return lo, hi, lo > hi
+}
+
+// rowBound returns floor((r − Σ a_j·x_j) / d) for row a_0..a_{n-1}, r, d:
+// the upper bound an upper row puts on x_n, and the negated lower bound
+// a lower row puts on it.
+func rowBound(row, x []int64) int64 {
+	n := len(row) - 2
+	t := row[n]
+	for j, a := range row[:n] {
+		t = subChecked(t, mulChecked(a, x[j]))
+	}
+	d := row[n+1]
+	if d == 1 {
+		return t
+	}
+	q := t / d
+	if t%d != 0 && t < 0 {
+		q--
+	}
+	return q
+}
+
+func mulChecked(a, b int64) int64 {
+	const half = 1 << 31
+	if uint64(a+half) < 2*half && uint64(b+half) < 2*half {
+		return a * b // both in [-2^31, 2^31): cannot overflow
+	}
+	if a == 0 || b == 0 {
+		return 0
+	}
+	p := a * b
+	if p/b != a || (a == -1 && b == math.MinInt64) || (b == -1 && a == math.MinInt64) {
+		panic(fmt.Sprintf("fm: bound overflow: %d * %d", a, b))
+	}
+	return p
+}
+
+func subChecked(a, b int64) int64 {
+	s := a - b
+	if (b > 0 && s > a) || (b < 0 && s < a) {
+		panic(fmt.Sprintf("fm: bound overflow: %d - %d", a, b))
+	}
+	return s
 }
 
 // Enumerate visits every integer point of the system in lexicographic

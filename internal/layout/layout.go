@@ -17,6 +17,7 @@ package layout
 import (
 	"fmt"
 	"sort"
+	"sync"
 )
 
 // Kind enumerates layout families.
@@ -49,6 +50,8 @@ type Layout struct {
 	g     []int64 // General2D hyperplane vector
 	block []int64 // Blocked2D block extents
 
+	// Lookup tables, built on first use by memoize.
+	once     sync.Once
 	table    []int64 // General2D: coordinate-linearization -> offset
 	tableInv []int64
 	starts   []int64 // Diagonal/AntiDiagonal: per-diagonal start offsets; Blocked2D: per-block starts
@@ -271,12 +274,9 @@ func cloneI64(v []int64) []int64 {
 func sameSign(a, b int64) bool { return (a > 0) == (b > 0) }
 
 // buildTable materializes the General2D permutation: elements sorted by
-// (g·a, a0). Lazy because it is O(N·M) space and only exotic layouts
-// need it.
+// (g·a, a0). Lazy (see memoize) because it is O(N·M) space and only
+// exotic layouts need it.
 func (l *Layout) buildTable() {
-	if l.table != nil {
-		return
-	}
 	n, m := l.dims[0], l.dims[1]
 	type ent struct {
 		key, row, lin int64

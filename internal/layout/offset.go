@@ -11,7 +11,7 @@ func (l *Layout) Offset(c []int64) int64 {
 	}
 	for d, x := range c {
 		if x < 0 || x >= l.dims[d] {
-			panic(fmt.Sprintf("layout: coordinate %v out of bounds %v", c, l.dims))
+			panic(fmt.Sprintf("layout: coordinate %v out of bounds %v", append([]int64(nil), c...), l.dims))
 		}
 	}
 	switch l.kind {
@@ -33,7 +33,7 @@ func (l *Layout) Offset(c []int64) int64 {
 		s := i + j
 		return l.diagStart(s) + (i - maxI64(0, s-(l.dims[1]-1)))
 	case General2D:
-		l.buildTable()
+		l.memoize()
 		return l.table[c[0]*l.dims[1]+c[1]]
 	case Blocked2D:
 		b1, b2 := l.block[0], l.block[1]
@@ -50,33 +50,44 @@ func (l *Layout) Offset(c []int64) int64 {
 // Coord maps a file offset back to array coordinates (inverse of
 // Offset).
 func (l *Layout) Coord(off int64) []int64 {
+	c := make([]int64, len(l.dims))
+	l.CoordInto(c, off)
+	return c
+}
+
+// CoordInto writes the array coordinates of file offset off into dst,
+// which must have length Rank(): Coord without the allocation, for
+// per-element loops.
+func (l *Layout) CoordInto(dst []int64, off int64) {
+	if len(dst) != len(l.dims) {
+		panic("layout: coordinate rank mismatch")
+	}
 	if off < 0 || off >= l.Size() {
 		panic("layout: offset out of range")
 	}
 	switch l.kind {
 	case Permutation:
-		c := make([]int64, len(l.dims))
 		for k := len(l.perm) - 1; k >= 0; k-- {
 			d := l.perm[k]
-			c[d] = off % l.dims[d]
+			dst[d] = off % l.dims[d]
 			off /= l.dims[d]
 		}
-		return c
 	case Diagonal2D:
 		k := l.findDiag(off)
 		d := k - (l.dims[1] - 1)
-		i := maxI64(0, d) + (off - l.diagStart(k))
-		return []int64{i, i - d}
+		i := maxI64(0, d) + (off - l.starts[k])
+		dst[0], dst[1] = i, i-d
 	case AntiDiagonal2D:
 		s := l.findDiag(off)
-		i := maxI64(0, s-(l.dims[1]-1)) + (off - l.diagStart(s))
-		return []int64{i, s - i}
+		i := maxI64(0, s-(l.dims[1]-1)) + (off - l.starts[s])
+		dst[0], dst[1] = i, s-i
 	case General2D:
-		l.buildTable()
+		l.memoize()
 		lin := l.tableInv[off]
-		return []int64{lin / l.dims[1], lin % l.dims[1]}
+		dst[0], dst[1] = lin/l.dims[1], lin%l.dims[1]
 	case Blocked2D:
-		starts := l.blockStarts()
+		l.memoize()
+		starts := l.starts
 		// Binary search over block starts.
 		lo, hi := 0, len(starts)-1
 		for lo < hi {
@@ -91,7 +102,7 @@ func (l *Layout) Coord(off int64) []int64 {
 		bi, bj := int64(lo)/nb2, int64(lo)%nb2
 		rem := off - starts[lo]
 		bw := minI64(l.block[1], l.dims[1]-bj*l.block[1])
-		return []int64{bi*l.block[0] + rem/bw, bj*l.block[1] + rem%bw}
+		dst[0], dst[1] = bi*l.block[0]+rem/bw, bj*l.block[1]+rem%bw
 	default:
 		panic("layout: unknown kind")
 	}
@@ -109,22 +120,49 @@ func (l *Layout) diagLen(k int64) int64 {
 	return minI64(k, n-1) - maxI64(0, k-(m-1)) + 1
 }
 
-// diagStart returns the file offset where normalized diagonal k begins,
-// memoizing the prefix sums.
-func (l *Layout) diagStart(k int64) int64 {
-	if l.starts == nil {
-		starts := make([]int64, l.diagCount()+1)
-		for d := int64(0); d < l.diagCount(); d++ {
-			starts[d+1] = starts[d] + l.diagLen(d)
+// memoize builds, once, the lookup tables of the layouts that need
+// them: per-diagonal start offsets (Diagonal2D, AntiDiagonal2D),
+// per-block start offsets (Blocked2D) and the permutation table
+// (General2D). Concurrent tile reads invert one layout from many
+// goroutines, so the tables are published through a sync.Once.
+func (l *Layout) memoize() {
+	l.once.Do(func() {
+		switch l.kind {
+		case Diagonal2D, AntiDiagonal2D:
+			starts := make([]int64, l.diagCount()+1)
+			for d := int64(0); d < l.diagCount(); d++ {
+				starts[d+1] = starts[d] + l.diagLen(d)
+			}
+			l.starts = starts
+		case Blocked2D:
+			nb1 := ceilDiv(l.dims[0], l.block[0])
+			nb2 := ceilDiv(l.dims[1], l.block[1])
+			starts := make([]int64, nb1*nb2)
+			var acc int64
+			for bi := int64(0); bi < nb1; bi++ {
+				bh := minI64(l.block[0], l.dims[0]-bi*l.block[0])
+				for bj := int64(0); bj < nb2; bj++ {
+					bw := minI64(l.block[1], l.dims[1]-bj*l.block[1])
+					starts[bi*nb2+bj] = acc
+					acc += bh * bw
+				}
+			}
+			l.starts = starts
+		case General2D:
+			l.buildTable()
 		}
-		l.starts = starts
-	}
+	})
+}
+
+// diagStart returns the file offset where normalized diagonal k begins.
+func (l *Layout) diagStart(k int64) int64 {
+	l.memoize()
 	return l.starts[k]
 }
 
 // findDiag returns the normalized diagonal containing file offset off.
 func (l *Layout) findDiag(off int64) int64 {
-	l.diagStart(0)
+	l.memoize()
 	lo, hi := int64(0), l.diagCount()-1
 	for lo < hi {
 		mid := (lo + hi + 1) / 2
@@ -137,29 +175,10 @@ func (l *Layout) findDiag(off int64) int64 {
 	return lo
 }
 
-// blockStarts memoizes per-block start offsets, row-major over blocks.
-func (l *Layout) blockStarts() []int64 {
-	if l.starts == nil {
-		nb1 := ceilDiv(l.dims[0], l.block[0])
-		nb2 := ceilDiv(l.dims[1], l.block[1])
-		starts := make([]int64, nb1*nb2)
-		var acc int64
-		for bi := int64(0); bi < nb1; bi++ {
-			bh := minI64(l.block[0], l.dims[0]-bi*l.block[0])
-			for bj := int64(0); bj < nb2; bj++ {
-				bw := minI64(l.block[1], l.dims[1]-bj*l.block[1])
-				starts[bi*nb2+bj] = acc
-				acc += bh * bw
-			}
-		}
-		l.starts = starts
-	}
-	return l.starts
-}
-
 func (l *Layout) blockStart(bi, bj int64) int64 {
+	l.memoize()
 	nb2 := ceilDiv(l.dims[1], l.block[1])
-	return l.blockStarts()[bi*nb2+bj]
+	return l.starts[bi*nb2+bj]
 }
 
 func minI64(a, b int64) int64 {

@@ -1,8 +1,9 @@
 package layout
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // Box is a half-open rectangular region [Lo[d], Hi[d]) of array
@@ -136,7 +137,7 @@ func (l *Layout) permSegments(box Box) []Run {
 	// out already sorted by offset.
 	cur := make([]int64, l.Rank())
 	copy(cur, box.Lo)
-	var segs []Run
+	segs := make([]Run, 0, box.Size()/segLen)
 	for {
 		cur[fast] = box.Lo[fast]
 		segs = append(segs, Run{Off: l.Offset(cur), Len: segLen})
@@ -161,7 +162,7 @@ func (l *Layout) permSegments(box Box) []Run {
 func (l *Layout) diagSegments(box Box, diag bool) []Run {
 	r0, r1 := box.Lo[0], box.Hi[0]
 	c0, c1 := box.Lo[1], box.Hi[1]
-	var segs []Run
+	segs := make([]Run, 0, (r1-r0)+(c1-c0)-1)
 	if diag {
 		// d = i - j ranges over [r0-(c1-1), r1-1-c0].
 		for d := r0 - (c1 - 1); d <= r1-1-c0; d++ {
@@ -182,14 +183,15 @@ func (l *Layout) diagSegments(box Box, diag bool) []Run {
 			segs = append(segs, Run{Off: l.Offset([]int64{iLo, s - iLo}), Len: iHi - iLo + 1})
 		}
 	}
-	sort.Slice(segs, func(a, b int) bool { return segs[a].Off < segs[b].Off })
+	sortRuns(segs)
 	return segs
 }
 
 // blockSegments yields row segments within each block the box overlaps.
 func (l *Layout) blockSegments(box Box) []Run {
 	b1, b2 := l.block[0], l.block[1]
-	var segs []Run
+	blockCols := (box.Hi[1]-1)/b2 - box.Lo[1]/b2 + 1
+	segs := make([]Run, 0, (box.Hi[0]-box.Lo[0])*blockCols)
 	for bi := box.Lo[0] / b1; bi*b1 < box.Hi[0]; bi++ {
 		for bj := box.Lo[1] / b2; bj*b2 < box.Hi[1]; bj++ {
 			rLo := maxI64(box.Lo[0], bi*b1)
@@ -201,7 +203,7 @@ func (l *Layout) blockSegments(box Box) []Run {
 			}
 		}
 	}
-	sort.Slice(segs, func(a, b int) bool { return segs[a].Off < segs[b].Off })
+	sortRuns(segs)
 	return segs
 }
 
@@ -224,7 +226,7 @@ func (l *Layout) genericSegments(box Box) []Run {
 			break
 		}
 	}
-	sort.Slice(offs, func(a, b int) bool { return offs[a] < offs[b] })
+	slices.Sort(offs)
 	segs := make([]Run, 0, len(offs))
 	for _, o := range offs {
 		if n := len(segs); n > 0 && segs[n-1].Off+segs[n-1].Len == o {
@@ -234,6 +236,10 @@ func (l *Layout) genericSegments(box Box) []Run {
 		}
 	}
 	return segs
+}
+
+func sortRuns(segs []Run) {
+	slices.SortFunc(segs, func(a, b Run) int { return cmp.Compare(a.Off, b.Off) })
 }
 
 // mergeRuns coalesces adjacent segments (sorted by offset) into maximal

@@ -50,3 +50,40 @@ func TestShardOfAllocs(t *testing.T) {
 		t.Fatalf("ShardOf allocates %.1f objects per op, want 0", allocs)
 	}
 }
+
+// TestTileIOAllocsFlat pins that a tile transfer allocates a fixed
+// number of objects whatever its size: the tile, one run list and one
+// run buffer, never a coordinate per element or a buffer per run.
+func TestTileIOAllocsFlat(t *testing.T) {
+	const n = 256
+	for _, l := range []*layout.Layout{
+		layout.RowMajor(n, n),
+		layout.ColMajor(n, n),
+		layout.Diagonal(n, n),
+		layout.AntiDiagonal(n, n),
+		layout.Blocked(n, n, 16, 32),
+		layout.General(n, n, []int64{3, 2}),
+	} {
+		d := NewDisk(64)
+		arr, err := d.CreateArray(ir.NewArray("a", n, n), l)
+		if err != nil {
+			t.Fatal(err)
+		}
+		allocsFor := func(edge int64) float64 {
+			box := layout.NewBox([]int64{5, 7}, []int64{5 + edge, 7 + edge})
+			return testing.AllocsPerRun(20, func() {
+				tile, err := arr.ReadTile(box)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := tile.WriteTile(); err != nil {
+					t.Fatal(err)
+				}
+			})
+		}
+		small, large := allocsFor(16), allocsFor(128)
+		if large > small {
+			t.Errorf("%s: ReadTile+WriteTile allocates %.0f objects on a 16x16 box but %.0f on 128x128", l, small, large)
+		}
+	}
+}

@@ -323,14 +323,18 @@ func (d *Disk) account(name string, calls, elems int64, write bool) {
 const setupChunk = 1 << 16
 
 // Fill initializes the whole array in place from a coordinate function
-// WITHOUT accounting I/O (test/benchmark setup, not workload I/O).
+// WITHOUT accounting I/O (test/benchmark setup, not workload I/O). The
+// coordinate slice passed to f is reused between calls.
 func (ar *Array) Fill(f func(c []int64) float64) {
 	size := ar.Layout.Size()
 	buf := make([]float64, minI64ooc(setupChunk, size))
+	var cbuf [stackRank]int64
+	c := coordScratch(&cbuf, ar.Layout.Rank())
 	for base := int64(0); base < size; base += int64(len(buf)) {
 		n := minI64ooc(int64(len(buf)), size-base)
 		for i := int64(0); i < n; i++ {
-			buf[i] = f(ar.Layout.Coord(base + i))
+			ar.Layout.CoordInto(c, base+i)
+			buf[i] = f(c)
 		}
 		if err := ar.backend.WriteAt(buf[:n], base); err != nil {
 			panic(err)
@@ -360,13 +364,16 @@ func (ar *Array) SetAt(c []int64, v float64) {
 func (ar *Array) ToStore(s *ir.Store) {
 	size := ar.Layout.Size()
 	buf := make([]float64, minI64ooc(setupChunk, size))
+	var cbuf [stackRank]int64
+	c := coordScratch(&cbuf, ar.Layout.Rank())
 	for base := int64(0); base < size; base += int64(len(buf)) {
 		n := minI64ooc(int64(len(buf)), size-base)
 		if err := ar.backend.ReadAt(buf[:n], base); err != nil {
 			panic(err)
 		}
 		for i := int64(0); i < n; i++ {
-			s.Set(ar.Meta, ar.Layout.Coord(base+i), buf[i])
+			ar.Layout.CoordInto(c, base+i)
+			s.Set(ar.Meta, c, buf[i])
 		}
 	}
 }
@@ -376,15 +383,31 @@ func (ar *Array) ToStore(s *ir.Store) {
 func (ar *Array) FromStore(s *ir.Store) {
 	size := ar.Layout.Size()
 	buf := make([]float64, minI64ooc(setupChunk, size))
+	var cbuf [stackRank]int64
+	c := coordScratch(&cbuf, ar.Layout.Rank())
 	for base := int64(0); base < size; base += int64(len(buf)) {
 		n := minI64ooc(int64(len(buf)), size-base)
 		for i := int64(0); i < n; i++ {
-			buf[i] = s.Get(ar.Meta, ar.Layout.Coord(base+i))
+			ar.Layout.CoordInto(c, base+i)
+			buf[i] = s.Get(ar.Meta, c)
 		}
 		if err := ar.backend.WriteAt(buf[:n], base); err != nil {
 			panic(err)
 		}
 	}
+}
+
+// stackRank is the largest array rank whose per-element coordinate
+// scratch lives on the stack in the element loops below.
+const stackRank = 8
+
+// coordScratch returns a rank-long coordinate buffer backed by buf when
+// it fits.
+func coordScratch(buf *[stackRank]int64, rank int) []int64 {
+	if rank <= stackRank {
+		return buf[:rank]
+	}
+	return make([]int64, rank)
 }
 
 func minI64ooc(a, b int64) int64 {
@@ -415,17 +438,16 @@ func (ar *Array) ReadTile(box layout.Box) (*Tile, error) {
 	// Concurrent reads overlap; a concurrent write excludes them.
 	ar.bmu.RLock()
 	defer ar.bmu.RUnlock()
-	var buf []float64
+	runBuf := make([]float64, maxRunLen(runs))
+	var cbuf [stackRank]int64
+	c := coordScratch(&cbuf, box.Rank())
 	for _, r := range runs {
-		if int64(cap(buf)) < r.Len {
-			buf = make([]float64, r.Len)
-		}
-		buf = buf[:r.Len]
+		buf := runBuf[:r.Len]
 		if err := ar.backend.ReadAt(buf, r.Off); err != nil {
 			return nil, fmt.Errorf("ooc: reading %s run [%d,%d): %w", ar.Meta.Name, r.Off, r.Off+r.Len, err)
 		}
 		for i := int64(0); i < r.Len; i++ {
-			c := ar.Layout.Coord(r.Off + i)
+			ar.Layout.CoordInto(c, r.Off+i)
 			t.data[t.index(c)] = buf[i]
 		}
 	}
@@ -468,14 +490,13 @@ func (t *Tile) WriteTile() error {
 	ar.disk.observeRuns(runs)
 	ar.bmu.Lock()
 	defer ar.bmu.Unlock()
-	var buf []float64
+	runBuf := make([]float64, maxRunLen(runs))
+	var cbuf [stackRank]int64
+	c := coordScratch(&cbuf, t.Box.Rank())
 	for _, r := range runs {
-		if int64(cap(buf)) < r.Len {
-			buf = make([]float64, r.Len)
-		}
-		buf = buf[:r.Len]
+		buf := runBuf[:r.Len]
 		for i := int64(0); i < r.Len; i++ {
-			c := ar.Layout.Coord(r.Off + i)
+			ar.Layout.CoordInto(c, r.Off+i)
 			buf[i] = t.data[t.index(c)]
 		}
 		if err := ar.backend.WriteAt(buf, r.Off); err != nil {
@@ -483,6 +504,16 @@ func (t *Tile) WriteTile() error {
 		}
 	}
 	return nil
+}
+
+// maxRunLen returns the longest run's length: one buffer of it serves
+// every run of a tile transfer.
+func maxRunLen(runs []layout.Run) int64 {
+	var n int64
+	for _, r := range runs {
+		n = max(n, r.Len)
+	}
+	return n
 }
 
 func newTile(ar *Array, box layout.Box) *Tile {
@@ -499,7 +530,7 @@ func (t *Tile) index(c []int64) int64 {
 	for d := range c {
 		x := c[d] - t.Box.Lo[d]
 		if x < 0 || x >= t.dims[d] {
-			panic(fmt.Sprintf("ooc: coordinate %v outside tile %v", c, t.Box))
+			panic(fmt.Sprintf("ooc: coordinate %v outside tile %v", append([]int64(nil), c...), t.Box))
 		}
 		idx = idx*t.dims[d] + x
 	}
